@@ -5,10 +5,15 @@
 //!
 //! * `serial_unsharded` — PR-1 behaviour: one shard, one thread (baseline),
 //! * `sharded_serial` — topic-keyed shards scheduled by projected touch
-//!   filters, refreshed on the caller's thread (isolates the scheduling
-//!   saving from the parallelism),
-//! * `sharded_parallel` — the default: scheduled shards fan out across
-//!   scoped worker threads sized to the host.
+//!   filters, refreshed one after another (isolates the scheduling saving
+//!   from the parallelism),
+//! * `sharded_parallel` — the default: scheduled shards fan out across a
+//!   pool of long-lived workers sized to the host.
+//!
+//! Every configuration ingests through the same pipelined epoch (the
+//! synchronous `ingest_bucket` waits on it with two barriers).  With one
+//! refresh thread the ingesting thread drains the shard lanes itself; the
+//! pool drains them otherwise.
 //!
 //! All three make identical per-subscription refresh decisions (asserted in
 //! `crates/continuous/tests/sharding.rs`), so the timing gap is pure

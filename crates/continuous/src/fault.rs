@@ -20,7 +20,8 @@
 //!   `delivered + dropped == result_changes` keeps reconciling.
 //! * [`FaultKind::KillWorker`] makes a worker thread exit after finishing
 //!   its current item; the pool detects the death at the next dispatch and
-//!   respawns within its budget.
+//!   respawns within its budget.  A synchronous ingest that drains a lane on
+//!   its own thread consumes the fault there and stops nothing.
 //!
 //! Plans are consulted with *consume-on-match* semantics: each [`Fault`]
 //! carries a `fires` budget and is removed when exhausted, so a plan is
@@ -42,7 +43,7 @@ pub enum FaultKind {
     /// Panic inside one delivery send; converted into a counted shed.
     PoisonDelivery,
     /// Make the worker thread that picks this up exit after its current
-    /// item completes.
+    /// item completes (a no-op when the ingesting thread drains the lane).
     KillWorker,
 }
 

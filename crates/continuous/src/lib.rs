@@ -96,20 +96,31 @@
 //! instead of back-pressuring the workers, so ingestion latency is
 //! independent of subscriber count and drain speed.
 //!
-//! Refresh *compute* no longer gates ingestion either: each asynchronously
-//! ingested slide (an **epoch**) captures an immutable
+//! Refresh *compute* no longer gates ingestion either: every slide (an
+//! **epoch**) captures an immutable
 //! [`EngineSnapshot`](ksir_snapshot::EngineSnapshot) right after its index
 //! write — `O(topics)` `Arc` clones; the writer copy-on-writes around live
-//! snapshots — and refresh workers evaluate against the snapshot instead of
-//! an engine read guard.  Epoch `N+1`'s index write therefore proceeds while
+//! snapshots — and refresh workers evaluate against the snapshot, never
+//! against the engine.  Epoch `N+1`'s index write therefore proceeds while
 //! epoch `N`'s refreshes drain, up to [`ShardConfig::pipeline_depth`] epochs
 //! deep (`1` restores the old quiesce-before-write behaviour).  Ordering is
 //! per shard: every shard processes its pending epochs strictly in order
 //! through its *lane*, so the filters feeding each schedule/skip decision
 //! are exactly the serial walk's, and the frozen snapshot *is* that epoch's
-//! engine state — which keeps the pipelined path **decision-identical** to
-//! the synchronous [`SubscriptionManager::ingest_bucket`] API, which remains
-//! available and returns the complete [`SlideOutcome`] per slide.
+//! engine state.
+//!
+//! There is one ingest path.  The synchronous
+//! [`SubscriptionManager::ingest_bucket`] runs the same epoch between two
+//! barriers and builds the complete [`SlideOutcome`] from what was decided
+//! for each shard's lane, so the two APIs are **decision-identical** by
+//! construction; the integration tests additionally hold both to
+//! from-scratch queries.  Its snapshots are always captured
+//! [`SnapshotPolicy::Exact`] (none outlives its slide), so it stays the
+//! exact reference under any policy.
+//! When a synchronous epoch needs one refresh thread — one lane taken, or
+//! [`ShardConfig::max_threads`] of one — the ingesting thread drains the
+//! lanes itself through the workers' fault-isolated drain step, keeping the
+//! refresh on the core that just wrote the index; otherwise the pool does.
 //! [`SubscriptionManager::sync`] awaits all outstanding epochs;
 //! [`SubscriptionManager::completed_epoch`] exposes the completion
 //! watermark; [`SubscriptionManager::snapshot_stats`] the capture costs.

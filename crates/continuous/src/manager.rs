@@ -2,10 +2,10 @@
 //! with synchronous and asynchronous (pipelined) maintenance APIs.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, RwLockReadGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ksir_core::{Algorithm, IngestReport, KsirEngine, KsirQuery, QueryResult, SharedEngine};
+use ksir_core::{Algorithm, IngestReport, KsirEngine, KsirQuery, QueryResult};
 use ksir_snapshot::{
     EngineSnapshot, SnapshotCounters, SnapshotPolicy, SnapshotSource, SnapshotStats,
 };
@@ -17,13 +17,13 @@ use crate::fault::FaultPlan;
 use crate::overload::{OverloadController, OverloadLevel};
 use crate::reorder::{Bucket, ReorderBuffer};
 use crate::shard::{
-    refresh_one, LaneDecision, PendingEpoch, ShardCell, ShardConfig, ShardKey, ShardSlide,
-    ShardStats,
+    refresh_one, LaneDecision, LaneOutcome, OutcomeSink, PendingEpoch, ShardCell, ShardConfig,
+    ShardKey, ShardStats,
 };
 use crate::subscription::{
     RefreshReason, ResultDelta, Subscription, SubscriptionId, SubscriptionStats,
 };
-use crate::worker::{deliver, DeliveryRegistry, EpochTask, Watermark, WorkItem, WorkerPool};
+use crate::worker::{deliver, drain_on_caller, DeliveryRegistry, EpochTask, Watermark, WorkerPool};
 
 /// Aggregate work counters across all subscriptions and slides.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -145,25 +145,20 @@ impl SlideTicket {
     pub fn detach(self) {}
 }
 
-/// The shared first half of the synchronous ingestion API: the engine's
-/// report plus the shard projection (scheduled shards and immediately
-/// charged skips).
-struct ProjectedSlide {
-    report: IngestReport,
-    scheduled: Vec<Arc<ShardCell>>,
-    skipped: usize,
-    shards_skipped: usize,
-}
-
-/// Manages standing k-SIR queries over a shared [`KsirEngine`], partitioned
+/// Manages standing k-SIR queries over the [`KsirEngine`] it owns, partitioned
 /// into topic-keyed shards refreshed by a pool of long-lived workers.
 ///
-/// Ingest buckets through the manager instead of the engine.  Two maintenance
-/// APIs share the same shards, workers, and refresh decisions:
+/// Ingest buckets through the manager instead of the engine.  Both
+/// maintenance APIs run every slide as the same **epoch** — index write,
+/// snapshot capture, projection onto the shard lanes, a fault-isolated drain
+/// of each lane — and differ only in what they wait for:
 ///
-/// * [`SubscriptionManager::ingest_bucket`] — synchronous: updates the index,
-///   refreshes every scheduled shard, and returns the complete
-///   [`SlideOutcome`].  Decision-identical to the serial walk of PR 1.
+/// * [`SubscriptionManager::ingest_bucket`] — synchronous: one epoch between
+///   two barriers, returning the complete [`SlideOutcome`] collected from
+///   what was decided for each shard.  Its lanes drain on the calling thread
+///   when one refresh thread suffices, on the worker pool otherwise.
+///   Decision-identical to the serial walk of PR 1, and exact under every
+///   [`SnapshotPolicy`].
 /// * [`SubscriptionManager::ingest_bucket_async`] — pipelined: updates the
 ///   index, captures an immutable epoch snapshot
 ///   ([`ksir_snapshot::EngineSnapshot`]), hands the affected shards their
@@ -181,7 +176,7 @@ struct ProjectedSlide {
 /// sharding scheme, and [`crate::delivery`] for the queue semantics.
 #[derive(Debug)]
 pub struct SubscriptionManager<D> {
-    engine: SharedEngine<D>,
+    engine: KsirEngine<D>,
     config: ShardConfig,
     shards: BTreeMap<ShardKey, Arc<ShardCell>>,
     /// Home shard of every live subscription.
@@ -230,7 +225,7 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
     pub fn with_shard_config(engine: KsirEngine<D>, config: ShardConfig) -> Self {
         let telemetry = Arc::new(Telemetry::new(config.telemetry));
         SubscriptionManager {
-            engine: SharedEngine::new(engine),
+            engine,
             config,
             shards: BTreeMap::new(),
             route_of: BTreeMap::new(),
@@ -257,27 +252,15 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
     }
 
     /// Read access to the underlying engine (for ad-hoc queries, stats, …).
-    ///
-    /// The guard holds the engine's read lock; drop it before calling a
-    /// mutating manager method.
-    pub fn engine(&self) -> RwLockReadGuard<'_, KsirEngine<D>> {
-        self.engine.read()
+    pub fn engine(&self) -> &KsirEngine<D> {
+        &self.engine
     }
 
-    /// A cloneable handle to the engine for use on other threads (ad-hoc
-    /// query serving, dashboards).  Readers never block each other; they
-    /// block only while a bucket is being applied to the index.
-    pub fn shared_engine(&self) -> SharedEngine<D> {
-        self.engine.clone()
-    }
-
-    /// Tears the manager down, returning the engine.  Shuts the worker pool
-    /// down first (awaiting outstanding refresh work).
-    pub fn into_engine(mut self) -> KsirEngine<D> {
+    /// Tears the manager down, returning the engine.  Awaits outstanding
+    /// refresh work first; the worker pool shuts down with the manager.
+    pub fn into_engine(self) -> KsirEngine<D> {
         self.sync();
-        self.pool = None; // joins the workers, releasing their engine handles
-        let SubscriptionManager { engine, .. } = self;
-        engine.into_inner()
+        self.engine
     }
 
     /// Number of registered subscriptions.
@@ -385,7 +368,7 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
                 .map(|sender| sender.len() as u64)
                 .sum(),
         );
-        let engine = self.engine.read().stats();
+        let engine = self.engine.stats();
         registry
             .gauge("engine.window_cow_clones")
             .set(engine.window_cow_clones as u64);
@@ -439,6 +422,17 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
     /// every counter is final.  A no-op when nothing is outstanding (or in
     /// pure-sync use).
     pub fn sync(&self) {
+        self.quiesce();
+        // Every counter is final here: fold the stats into the registry so
+        // an exporter scraped after the barrier sees the settled numbers.
+        self.publish_gauges();
+    }
+
+    /// The barrier alone, without publishing the gauges: lifecycle calls
+    /// (subscribe, unsubscribe, attaching and detaching queues) use it, since
+    /// publishing sums every delivery queue and would make setting up `n`
+    /// subscriptions cost `O(n²)`.
+    fn quiesce(&self) {
         match &self.pool {
             // The pool's barrier self-heals dead worker threads between
             // bounded waits, so a killed worker with queued items cannot
@@ -446,9 +440,6 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
             Some(pool) => pool.wait_idle(),
             None => self.watermark.wait_all(),
         }
-        // Every counter is final here: fold the stats into the registry so
-        // an exporter scraped after the barrier sees the settled numbers.
-        self.publish_gauges();
     }
 
     /// Registers a standing query, evaluating it immediately against the
@@ -460,15 +451,12 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
     /// asynchronous refreshes first, so the subscription's counters start
     /// exactly at its first slide.
     pub fn subscribe(&mut self, query: KsirQuery, algorithm: Algorithm) -> Result<SubscriptionId> {
-        self.sync();
-        {
-            let engine = self.engine.read();
-            if query.vector().num_topics() != engine.num_topics() {
-                return Err(KsirError::DimensionMismatch {
-                    expected: engine.num_topics(),
-                    actual: query.vector().num_topics(),
-                });
-            }
+        self.quiesce();
+        if query.vector().num_topics() != self.engine.num_topics() {
+            return Err(KsirError::DimensionMismatch {
+                expected: self.engine.num_topics(),
+                actual: query.vector().num_topics(),
+            });
         }
         let id = SubscriptionId(self.next_id);
         self.next_id += 1;
@@ -484,7 +472,7 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         // first slide-driven delta refresh.
         let delta_refresh = self.config.delta_refresh;
         refresh_one(
-            &*self.engine.read(),
+            &self.engine,
             id,
             &mut sub,
             RefreshReason::Initial,
@@ -523,7 +511,7 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         // stalled on a consumer that stopped draining, the close is what
         // unwedges it so the sync below can complete.
         self.close_delivery(id);
-        self.sync();
+        self.quiesce();
         let Some(key) = self.route_of.remove(&id) else {
             return false;
         };
@@ -599,7 +587,7 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         // producer on the old queue must be unwedged for sync to complete),
         // then quiesce so the new queue starts at a slide boundary.
         self.close_delivery(id);
-        self.sync();
+        self.quiesce();
         let (sender, receiver) = delivery_queue(
             config,
             Some(DeliveryTelemetry::new(Arc::clone(&self.telemetry))),
@@ -617,7 +605,7 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         // Close first (unwedging any stalled Block-policy producer), then
         // quiesce so no worker still holds the removed sender.
         let detached = self.close_delivery(id);
-        self.sync();
+        self.quiesce();
         detached
     }
 
@@ -650,13 +638,12 @@ impl<D: TopicWordDistribution> SubscriptionManager<D> {
         let key = self.route_of.get(&id)?;
         let cell = self.shards.get(key)?;
         let update = {
-            let engine = self.engine.read();
             let mut shard = cell.shard();
             let sub = shard.get_mut(id)?;
             // Forced refreshes run full: the caller sits outside the slide
             // stream, so no delta vouches for the memo's sync point.
             let (update, _mode) = refresh_one(
-                &*engine,
+                &self.engine,
                 id,
                 sub,
                 RefreshReason::Forced,
@@ -840,7 +827,6 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
         if self.pool.is_none() {
             self.pool = Some(WorkerPool::spawn(
                 self.config.worker_threads(),
-                self.engine.clone(),
                 Arc::clone(&self.deliveries),
                 Arc::clone(&self.watermark),
                 Arc::clone(&self.telemetry),
@@ -872,7 +858,7 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
         }
         let started = Instant::now();
         let snapshot = Arc::new(EngineSnapshot::capture_watched(
-            &self.engine.read(),
+            &self.engine,
             epoch,
             &self.snapshots,
             self.watched_topics.keys().copied(),
@@ -891,154 +877,94 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
         snapshot
     }
 
-    /// The synchronous first half: quiesces the pipeline, applies the bucket
-    /// to the index, and projects the slide delta onto every shard's touch
-    /// filters.  (The pipelined path has its own projection that defers
-    /// busy shards instead of quiescing.)
-    fn ingest_and_project(
-        &mut self,
-        bucket: Vec<(SocialElement, TopicVector)>,
-        bucket_end: Timestamp,
-    ) -> Result<ProjectedSlide> {
-        self.sync();
-        let write_started = Instant::now();
-        let report = self.engine.write().ingest_bucket(bucket, bucket_end)?;
-        self.telemetry
-            .registry()
-            .histogram("ingest.index_write")
-            .record(write_started.elapsed());
-        self.slides += 1;
-        let slide_no = self.slides as u64;
-        self.watermark.note_epoch(slide_no);
-        // Stamp the epoch on the freshness clock in the same breath as the
-        // ingest trace event: every later `delivery.e2e` sample and the
-        // `manager.freshness_lag` gauge measure from this instant.
-        self.telemetry
-            .freshness()
-            .stamp(slide_no, self.telemetry.now_nanos());
-        self.telemetry.record(
-            slide_no,
-            None,
-            TraceEventKind::SlideIngested {
-                elements: report.inserted as u64,
-            },
-        );
-
-        let mut scheduled: Vec<Arc<ShardCell>> = Vec::new();
-        let mut skipped = 0usize;
-        let mut shards_skipped = 0usize;
-        for cell in self.shards.values() {
-            let mut shard = cell.shard();
-            if shard.is_touched_by(&report.delta) {
-                scheduled.push(Arc::clone(cell));
-            } else if shard.len() > 0 {
-                shards_skipped += 1;
-                skipped += shard.skip_all(slide_no);
-            }
-        }
-        Ok(ProjectedSlide {
-            report,
-            scheduled,
-            skipped,
-            shards_skipped,
-        })
-    }
-
     /// Ingests one bucket through the engine, then refreshes exactly the
     /// shards — and within them the subscriptions — the slide could have
     /// affected, returning the complete [`SlideOutcome`].
     ///
+    /// Runs the same epoch as [`SubscriptionManager::ingest_bucket_async`]
+    /// between two barriers: the first makes the index write wait for every
+    /// earlier epoch, the second for this one.  The lanes the epoch took
+    /// over drain on the calling thread when one refresh thread suffices
+    /// (one lane, or a pool capped at one worker) and on the pool otherwise;
+    /// its snapshot is always captured [`SnapshotPolicy::Exact`].
     /// Decision-identical to the serial walk: the same subscriptions refresh
-    /// or skip, with the same counters, as under PR 1.  Scheduled shards
-    /// refresh on the worker pool when the configuration allows more than
-    /// one thread; result deltas additionally stream into any attached
-    /// delivery queues.
+    /// or skip, with the same counters, as under PR 1.  Result deltas
+    /// additionally stream into any attached delivery queues.
     pub fn ingest_bucket(
         &mut self,
         bucket: Vec<(SocialElement, TopicVector)>,
         bucket_end: Timestamp,
     ) -> Result<SlideOutcome> {
-        let ProjectedSlide {
-            report,
-            scheduled,
-            mut skipped,
-            shards_skipped,
-        } = self.ingest_and_project(bucket, bucket_end)?;
-        let shards_scheduled = scheduled.len();
-        let slide_no = self.slides as u64;
-
-        let threads = self.config.threads_for(shards_scheduled);
-        let mut slides: Vec<ShardSlide> = Vec::with_capacity(shards_scheduled);
-        if threads <= 1 || shards_scheduled <= 1 {
-            // Refresh on the caller's thread; deliveries still flow.
-            let engine = self.engine.read();
-            for cell in &scheduled {
-                let slide = cell
-                    .shard()
-                    .refresh_scheduled(&*engine, &report.delta, slide_no);
-                slides.push(slide);
-            }
-            drop(engine);
-            for slide in &slides {
-                deliver(
-                    &self.deliveries,
-                    slide_no,
-                    &slide.updates,
-                    self.faults.as_deref(),
-                    &self.telemetry,
-                );
-            }
+        self.quiesce();
+        let sink = OutcomeSink::default();
+        // No snapshot of a synchronous epoch outlives its slide, so
+        // truncating one would save no memory and only cost exactness: the
+        // synchronous API stays the exact reference under every policy and
+        // overload rung.
+        let (ticket, handoffs) =
+            self.ingest_epoch(bucket, bucket_end, SnapshotPolicy::Exact, Some(&sink))?;
+        if self.config.worker_threads() <= 1 || handoffs.len() <= 1 {
+            // One refresh thread suffices: drain on the thread that just
+            // wrote the index rather than waking a worker on another core.
+            drain_on_caller(
+                &handoffs,
+                &self.deliveries,
+                &self.telemetry,
+                self.faults.as_deref(),
+            );
         } else {
-            let delta = Arc::new(report.delta.clone());
-            let collector = Arc::new(Mutex::new(Vec::with_capacity(shards_scheduled)));
-            let items = scheduled
-                .into_iter()
-                .map(|shard| WorkItem::Live {
-                    epoch: slide_no,
-                    shard,
-                    delta: Arc::clone(&delta),
-                    collector: Arc::clone(&collector),
-                })
-                .collect();
-            self.watermark.add(slide_no, shards_scheduled);
-            let pool = self.pool();
-            pool.dispatch(items);
-            pool.wait_idle();
-            slides = std::mem::take(&mut *collector.lock().unwrap_or_else(|p| p.into_inner()));
+            self.pool().dispatch(handoffs);
         }
+        self.sync();
 
-        let mut updates = Vec::new();
-        let mut refreshed = 0usize;
-        for slide in slides {
-            refreshed += slide.refreshed;
-            skipped += slide.skipped;
-            updates.extend(slide.updates);
+        // Shards the projection skipped inline are in the ticket; every
+        // other shard's decision was made by the thread that drained its
+        // lane — including shards deferred because a worker had not yet
+        // released the lane after the first barrier.
+        let mut outcome = SlideOutcome {
+            report: ticket.report,
+            updates: Vec::new(),
+            refreshed: 0,
+            skipped: ticket.skipped,
+            shards_scheduled: 0,
+            shards_skipped: ticket.shards_skipped,
+        };
+        let decided = std::mem::take(&mut *sink.lock().unwrap_or_else(|p| p.into_inner()));
+        debug_assert_eq!(
+            decided.len(),
+            ticket.shards_scheduled + ticket.shards_deferred,
+            "every enqueued shard reports exactly once"
+        );
+        for decision in decided {
+            match decision {
+                LaneOutcome::Refreshed(slide) => {
+                    outcome.shards_scheduled += 1;
+                    outcome.refreshed += slide.refreshed;
+                    outcome.skipped += slide.skipped;
+                    outcome.updates.extend(slide.updates);
+                }
+                LaneOutcome::Skipped(n) => {
+                    outcome.shards_skipped += 1;
+                    outcome.skipped += n;
+                }
+            }
         }
-        // Shards complete out of order under parallel refresh; present the
-        // deltas deterministically.
-        updates.sort_by_key(|u| u.subscription);
-
-        Ok(SlideOutcome {
-            report,
-            updates,
-            refreshed,
-            skipped,
-            shards_scheduled,
-            shards_skipped,
-        })
+        // Shards complete out of order on the pool; present the deltas
+        // deterministically.
+        outcome.updates.sort_by_key(|u| u.subscription);
+        Ok(outcome)
     }
 
     /// Ingests one bucket and **returns before any refresh runs — including
     /// the previous slide's**: the index is updated, an immutable epoch
     /// snapshot is captured, idle undisturbed shards are skipped inline, and
     /// every other shard is handed this epoch through its lane.  Refresh
-    /// workers evaluate against the epoch's snapshot rather than an engine
-    /// read guard, so the next index write proceeds while refreshes drain
-    /// (pipelined epochs; admission is bounded by
-    /// [`ShardConfig::pipeline_depth`]).  Result deltas stream into the
-    /// attached delivery queues as each shard finishes; ingestion latency is
-    /// therefore independent of refresh compute, subscriber count, and
-    /// drain speed.
+    /// workers evaluate against the epoch's snapshot, so the next index
+    /// write proceeds while refreshes drain (pipelined epochs; admission is
+    /// bounded by [`ShardConfig::pipeline_depth`]).  Result deltas stream
+    /// into the attached delivery queues as each shard finishes; ingestion
+    /// latency is therefore independent of refresh compute, subscriber
+    /// count, and drain speed.
     ///
     /// Decision-identity with the synchronous path is per shard: each shard
     /// processes its epochs strictly in order, so its filters are exactly
@@ -1077,8 +1003,31 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
         } else {
             self.config.snapshot_policy
         };
+        let (ticket, handoffs) = self.ingest_epoch(bucket, bucket_end, policy, None)?;
+        if !handoffs.is_empty() {
+            self.pool().dispatch(handoffs);
+        }
+        self.publish_gauges();
+        Ok(ticket)
+    }
+
+    /// One epoch, the slide step both ingestion APIs share: applies the
+    /// bucket to the index, then projects the slide delta onto every shard's
+    /// lane — skipping idle undisturbed shards inline, enqueueing the epoch
+    /// (with its snapshot, captured on first need, refreshed under `policy`)
+    /// everywhere else.  Returns the ticket and the shards whose lanes it
+    /// took over, which the caller must drain or dispatch.  `outcome` is
+    /// threaded into every enqueued task, so whichever thread drains it
+    /// reports its decision back to a synchronous caller.
+    fn ingest_epoch(
+        &mut self,
+        bucket: Vec<(SocialElement, TopicVector)>,
+        bucket_end: Timestamp,
+        policy: SnapshotPolicy,
+        outcome: Option<&OutcomeSink>,
+    ) -> Result<(SlideTicket, Vec<Arc<ShardCell>>)> {
         let write_started = Instant::now();
-        let report = self.engine.write().ingest_bucket(bucket, bucket_end)?;
+        let report = self.engine.ingest_bucket(bucket, bucket_end)?;
         self.telemetry
             .registry()
             .histogram("ingest.index_write")
@@ -1102,7 +1051,7 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
 
         let mut delta: Option<Arc<ksir_stream::WindowDelta>> = None;
         let mut snapshot: Option<Arc<dyn SnapshotSource>> = None;
-        let mut handoffs: Vec<WorkItem> = Vec::new();
+        let mut handoffs: Vec<Arc<ShardCell>> = Vec::new();
         let mut shards_scheduled = 0usize;
         let mut shards_deferred = 0usize;
         let mut shards_skipped = 0usize;
@@ -1125,14 +1074,13 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
                         .get_or_insert_with(|| self.capture_epoch(slide_no))
                         .clone(),
                     policy,
+                    outcome: outcome.cloned(),
                 }
             });
             match decision {
                 LaneDecision::Deferred => shards_deferred += 1,
                 LaneDecision::Scheduled => {
-                    handoffs.push(WorkItem::Pipelined {
-                        shard: Arc::clone(cell),
-                    });
+                    handoffs.push(Arc::clone(cell));
                     shards_scheduled += 1;
                 }
                 LaneDecision::Skipped(n) => {
@@ -1146,18 +1094,15 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
             .registry()
             .histogram("ingest.project")
             .record(project_started.elapsed());
-        if !handoffs.is_empty() {
-            self.pool().dispatch(handoffs);
-        }
-        self.publish_gauges();
-        Ok(SlideTicket {
+        let ticket = SlideTicket {
             slide: slide_no,
             report,
             shards_scheduled,
             shards_deferred,
             shards_skipped,
             skipped,
-        })
+        };
+        Ok((ticket, handoffs))
     }
 
     /// Ingests a bucket through the bounded reorder buffer in front of the
@@ -1216,8 +1161,8 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
     where
         I: IntoIterator<Item = (SocialElement, TopicVector)>,
     {
-        let bucket_len = self.engine.read().config().window.bucket_len();
-        let now = self.engine.read().now();
+        let bucket_len = self.engine.config().window.bucket_len();
+        let now = self.engine.now();
         let mut outcomes = Vec::new();
         ksir_stream::for_each_bucket(bucket_len, now, stream, |bucket, end| {
             outcomes.push(self.ingest_bucket(bucket, end)?);
@@ -1234,8 +1179,8 @@ impl<D: TopicWordDistribution + Send + Sync + 'static> SubscriptionManager<D> {
     where
         I: IntoIterator<Item = (SocialElement, TopicVector)>,
     {
-        let bucket_len = self.engine.read().config().window.bucket_len();
-        let now = self.engine.read().now();
+        let bucket_len = self.engine.config().window.bucket_len();
+        let now = self.engine.now();
         let mut tickets = Vec::new();
         ksir_stream::for_each_bucket(bucket_len, now, stream, |bucket, end| {
             tickets.push(self.ingest_bucket_async(bucket, end)?);

@@ -94,9 +94,12 @@ pub struct ShardConfig {
     /// Queries with support (non-zero topics) strictly wider than this route
     /// to the [`ShardKey::Overflow`] shard instead of a topic shard.
     pub overflow_support_threshold: usize,
-    /// Upper bound on refresh worker threads per slide; `None` uses
-    /// [`std::thread::available_parallelism`].  `Some(1)` refreshes scheduled
-    /// shards serially on the caller's thread.
+    /// Caps the refresh pool: the number of long-lived worker threads that
+    /// refresh scheduled shards.  `None` uses
+    /// [`std::thread::available_parallelism`].  `Some(1)` refreshes every
+    /// scheduled shard one after another: on the single pool worker under
+    /// `ingest_bucket_async`, on the ingesting thread under `ingest_bucket`
+    /// (which also drains on its own thread whenever it took just one lane).
     pub max_threads: Option<usize>,
     /// How many epochs the asynchronous pipeline may have in flight at once
     /// (clamped to at least 1).  `ingest_bucket_async` admits a new epoch
@@ -163,13 +166,16 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    /// Topic-sharded routing, but all refreshes on the caller's thread.
+    /// Topic-sharded routing with the refresh pool capped at one worker, so
+    /// scheduled shards refresh one after another (see
+    /// [`ShardConfig::max_threads`]).
     pub fn serial() -> Self {
         ShardConfig::default().with_threads(Some(1))
     }
 
-    /// The PR-1 behaviour: a single (overflow) shard walked serially.
-    /// Useful as the baseline the sharded paths are benchmarked against.
+    /// The PR-1 behaviour: a single (overflow) shard walked serially — on
+    /// the ingesting thread under `ingest_bucket`.  Useful as the baseline
+    /// the sharded paths are benchmarked against.
     pub fn unsharded() -> Self {
         ShardConfig {
             overflow_support_threshold: 0,
@@ -269,11 +275,6 @@ impl ShardConfig {
                     .unwrap_or(1)
             })
             .max(1)
-    }
-
-    /// Number of refresh worker threads to use for `scheduled` shards.
-    pub(crate) fn threads_for(&self, scheduled: usize) -> usize {
-        self.worker_threads().clamp(1, scheduled.max(1))
     }
 }
 
@@ -431,18 +432,39 @@ struct SlideWork {
     gain: usize,
 }
 
+/// What the worker draining a shard's lane decided for one epoch.
+#[derive(Debug)]
+pub(crate) enum LaneOutcome {
+    /// The filters fired: residents were classified and refreshed.
+    Refreshed(ShardSlide),
+    /// Proven undisturbed, or shed by quarantine: every resident was charged
+    /// one skip (count).
+    Skipped(usize),
+}
+
+/// Where a synchronous ingest collects the [`LaneOutcome`]s of its epoch.
+pub(crate) type OutcomeSink = Arc<Mutex<Vec<LaneOutcome>>>;
+
 /// One epoch queued on a busy shard's lane: the slide delta to project, the
 /// frozen engine image to refresh against if the projection fires, the
 /// snapshot policy the refresh must honour (captured per epoch so the
 /// overload ladder's [`SnapshotPolicy`] switch cannot retroactively change
-/// an in-flight epoch), and the watermark drop-guard that marks the epoch's
-/// work complete however the task leaves the pipeline — processed, shed, or
+/// an in-flight epoch), the sink a synchronous ingest reads the worker's
+/// decision from, and the watermark drop-guard that marks the epoch's work
+/// complete however the task leaves the pipeline — processed, shed, or
 /// dropped on the floor by a dying worker.
 pub(crate) struct PendingEpoch {
     pub(crate) epoch: u64,
     pub(crate) delta: Arc<WindowDelta>,
     pub(crate) snapshot: Arc<dyn SnapshotSource>,
     pub(crate) policy: SnapshotPolicy,
+    /// `Some` for epochs of [`SubscriptionManager::ingest_bucket`], which
+    /// builds its `SlideOutcome` from what the draining threads pushed
+    /// here.  The drain pushes before `task` drops, so the sink is complete
+    /// once the watermark has passed the epoch.
+    ///
+    /// [`SubscriptionManager::ingest_bucket`]: crate::SubscriptionManager::ingest_bucket
+    pub(crate) outcome: Option<OutcomeSink>,
     /// Never read — held purely for its `Drop`, which completes the epoch's
     /// watermark registration.
     #[allow(dead_code)]
@@ -919,9 +941,8 @@ impl Shard {
     }
 
     /// Classifies and (where needed) refreshes every resident against the
-    /// slide, then rebuilds the touch filters.  Runs on a worker thread when
-    /// the manager refreshes shards in parallel; `source` is the live engine
-    /// on the synchronous path and an epoch snapshot on the pipelined one.
+    /// slide, then rebuilds the touch filters.  Runs on the thread that
+    /// drains the shard's lane; `source` is the epoch's snapshot.
     ///
     /// With shared plans the refresh walks plan clusters instead of
     /// residents; decisions and updates are identical (the per-member rules
@@ -1424,16 +1445,20 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_is_clamped_to_scheduled_shards() {
-        let auto = ShardConfig::default();
-        assert!(auto.threads_for(8) >= 1);
-        assert_eq!(ShardConfig::serial().threads_for(8), 1);
+    fn worker_threads_honour_the_cap() {
+        assert!(ShardConfig::default().worker_threads() >= 1);
+        assert_eq!(ShardConfig::serial().worker_threads(), 1);
+        assert_eq!(ShardConfig::unsharded().worker_threads(), 1);
         assert_eq!(
-            ShardConfig::default().with_threads(Some(4)).threads_for(2),
-            2
+            ShardConfig::default()
+                .with_threads(Some(4))
+                .worker_threads(),
+            4
         );
         assert_eq!(
-            ShardConfig::default().with_threads(Some(4)).threads_for(0),
+            ShardConfig::default()
+                .with_threads(Some(0))
+                .worker_threads(),
             1
         );
     }
@@ -1545,6 +1570,7 @@ mod tests {
                     &ksir_snapshot::SnapshotCounters::new(),
                 )),
                 policy: SnapshotPolicy::Exact,
+                outcome: None,
                 task: crate::worker::EpochTask::register(&watermark, epoch),
             }
         };

@@ -1,18 +1,16 @@
 //! Long-lived shard-refresh workers fed by a channel, plus the epoch
-//! watermark that replaced the quiesce-before-write barrier.
+//! watermark that tracks their outstanding work.
 //!
-//! PR 2 fanned each slide's scheduled shards out over a fresh
-//! `std::thread::scope`; PR 3 replaced that with this fixed pool of workers
-//! that live as long as the [`SubscriptionManager`](crate::SubscriptionManager)
-//! but still quiesced *every* outstanding refresh before *every* index write,
-//! so refresh compute bounded the sustained slide rate.  The pipelined design
-//! drops that global barrier:
+//! A fixed pool of workers lives as long as the
+//! [`SubscriptionManager`](crate::SubscriptionManager), and every slide —
+//! whichever ingestion API took it — is one **epoch** refreshed here:
 //!
-//! * each asynchronously ingested slide (an **epoch**) captures an immutable
+//! * each epoch captures an immutable
 //!   [`EngineSnapshot`](ksir_snapshot::EngineSnapshot) right after its index
-//!   write, and refresh workers evaluate against the snapshot instead of a
-//!   `SharedEngine` read guard — so the *next* epoch's index write proceeds
-//!   while this epoch's refreshes drain;
+//!   write, and refresh workers evaluate against the snapshot, never against
+//!   the engine itself — so under `ingest_bucket_async` the *next* epoch's
+//!   index write proceeds while this epoch's refreshes drain, and the
+//!   engine has no reader off the manager's thread;
 //! * ordering is per shard, not global: every shard processes its pending
 //!   epochs strictly in order (the shard's *lane*, see
 //!   [`crate::shard::Lane`]), which is exactly the ordering the refresh
@@ -21,7 +19,12 @@
 //!   [`Watermark::wait_all`] is the old `sync()` barrier, and
 //!   [`Watermark::wait_inflight_below`] is the pipeline-admission gate that
 //!   bounds how many epochs may be in flight (and with them the snapshot
-//!   memory the writer keeps alive).
+//!   memory the writer keeps alive).  The synchronous `ingest_bucket` is one
+//!   epoch between two `wait_all` barriers; each task of its epoch carries an
+//!   outcome sink the draining thread reports its decision into.  When that
+//!   epoch needs one refresh thread (one lane taken, or a pool capped at
+//!   one), the ingesting thread drains its lanes itself through the same
+//!   [`drain_lane`] ([`drain_on_caller`]) instead of waking a worker.
 //!
 //! Slow *subscribers* still never extend any of these waits: delivery queues
 //! are bounded and non-blocking under the default overflow policy, so the
@@ -34,15 +37,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ksir_core::SharedEngine;
 use ksir_snapshot::SnapshotPolicy;
-use ksir_stream::WindowDelta;
 use ksir_telemetry::{Counter, FlightTrigger, Gauge, Telemetry, TraceEventKind};
-use ksir_types::TopicWordDistribution;
 
 use crate::delivery::DeliverySender;
 use crate::fault::FaultPlan;
-use crate::shard::{label_of, Shard, ShardCell, ShardSlide};
+use crate::shard::{label_of, LaneOutcome, Shard, ShardCell};
 use crate::subscription::SubscriptionId;
 
 /// Failed refresh attempts a shard gets (after the first) before it is
@@ -55,8 +55,7 @@ pub(crate) type DeliveryRegistry =
     Arc<Mutex<std::collections::BTreeMap<SubscriptionId, DeliverySender>>>;
 
 /// Pushes a slide's result deltas into the attached delivery queues.  Used by
-/// the workers and by the manager's inline (single-threaded) refresh path, so
-/// subscribers see the same stream regardless of which path ran.
+/// the workers and by the manager's forced refresh.
 pub(crate) fn deliver(
     registry: &DeliveryRegistry,
     slide: u64,
@@ -105,22 +104,6 @@ pub(crate) fn deliver(
             }
         }
     }
-}
-
-/// One unit of work for the pool.
-pub(crate) enum WorkItem {
-    /// Synchronous path: refresh this shard against the live engine (the
-    /// manager quiesced the pipeline first, so the engine *is* the epoch).
-    Live {
-        epoch: u64,
-        shard: Arc<ShardCell>,
-        delta: Arc<WindowDelta>,
-        collector: Arc<Mutex<Vec<ShardSlide>>>,
-    },
-    /// Pipelined path: drain the shard's lane of pending epochs, evaluating
-    /// each against its captured snapshot.  The lane carries the payloads;
-    /// this item only hands the shard to a worker.
-    Pipelined { shard: Arc<ShardCell> },
 }
 
 /// Outstanding shard-epoch tasks per epoch — the pipeline's completion
@@ -259,16 +242,6 @@ impl Watermark {
     }
 }
 
-/// Completes the epoch task even if the refresh panics, so a poisoned shard
-/// can never deadlock the ingestion path on the watermark.
-struct CompletionGuard<'a>(&'a Watermark, u64);
-
-impl Drop for CompletionGuard<'_> {
-    fn drop(&mut self) {
-        self.0.complete_one(self.1);
-    }
-}
-
 /// An owning watermark registration: one outstanding shard task of one
 /// epoch, completed when the value drops — *however* it drops.
 ///
@@ -309,11 +282,9 @@ impl Drop for EpochTask {
 /// The pool of long-lived refresh workers, self-healing within a bounded
 /// respawn budget.
 ///
-/// Not generic over the topic model: the engine handle is moved into the
-/// worker closures at spawn time, which keeps the pool embeddable in any
-/// manager without dragging `D` through the channel types — pipelined work
-/// carries its engine state as `Arc<dyn SnapshotSource>` payloads in the
-/// shard lanes instead.
+/// Not generic over the topic model: the channel carries only the shard to
+/// drain, and each epoch's engine state travels in the shard's lane as an
+/// `Arc<dyn SnapshotSource>`.
 ///
 /// Every `dispatch` first sweeps for dead worker threads (a worker dies on
 /// a [`FaultKind::KillWorker`](crate::FaultKind::KillWorker) injection, or
@@ -325,11 +296,11 @@ impl Drop for EpochTask {
 /// dispatched work can never be silently stranded on a channel nobody
 /// reads.
 pub(crate) struct WorkerPool {
-    tx: Option<Sender<WorkItem>>,
+    tx: Option<Sender<Arc<ShardCell>>>,
     watermark: Arc<Watermark>,
     state: Mutex<PoolState>,
-    /// Re-invocable worker factory (captures the engine handle, channel
-    /// receiver, registry, fault plan, and telemetry by `Arc`).
+    /// Re-invocable worker factory (captures the channel receiver, registry,
+    /// fault plan, and telemetry by `Arc`).
     spawner: Box<dyn Fn() -> JoinHandle<()> + Send + Sync>,
     restarts: Arc<Counter>,
     telemetry: Arc<Telemetry>,
@@ -357,41 +328,27 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `threads` workers over a shared engine handle, delivery
-    /// registry, the manager's watermark, and an optional fault plan.
-    pub(crate) fn spawn<D>(
+    /// Spawns `threads` workers over the delivery registry, the manager's
+    /// watermark, and an optional fault plan.
+    pub(crate) fn spawn(
         threads: usize,
-        engine: SharedEngine<D>,
         registry: DeliveryRegistry,
         watermark: Arc<Watermark>,
         telemetry: Arc<Telemetry>,
         faults: Option<Arc<FaultPlan>>,
-    ) -> Self
-    where
-        D: TopicWordDistribution + Send + Sync + 'static,
-    {
+    ) -> Self {
         let threads = threads.max(1);
-        let (tx, rx) = channel::<WorkItem>();
+        let (tx, rx) = channel::<Arc<ShardCell>>();
         let rx = Arc::new(Mutex::new(rx));
         let spawner = {
-            let watermark = Arc::clone(&watermark);
             let telemetry = Arc::clone(&telemetry);
             Box::new(move || {
                 let rx = Arc::clone(&rx);
-                let watermark = Arc::clone(&watermark);
-                let engine = engine.clone();
                 let registry = Arc::clone(&registry);
                 let telemetry = Arc::clone(&telemetry);
                 let faults = faults.clone();
                 std::thread::spawn(move || {
-                    worker_loop(
-                        &rx,
-                        &watermark,
-                        &engine,
-                        &registry,
-                        &telemetry,
-                        faults.as_deref(),
-                    )
+                    worker_loop(&rx, &registry, &telemetry, faults.as_deref())
                 })
             })
         };
@@ -409,13 +366,14 @@ impl WorkerPool {
         }
     }
 
-    /// Enqueues work.  Returns immediately; the items run on the workers.
-    /// The caller has already registered the matching watermark tasks.
-    pub(crate) fn dispatch(&self, items: Vec<WorkItem>) {
+    /// Hands shards whose lanes the caller just took ownership of to the
+    /// workers.  Returns immediately; each lane drains on a worker.  The
+    /// lanes' tasks already hold their watermark registrations.
+    pub(crate) fn dispatch(&self, shards: Vec<Arc<ShardCell>>) {
         self.ensure_workers();
         let tx = self.tx.as_ref().expect("pool not shut down");
-        for item in items {
-            tx.send(item).expect("worker channel closed");
+        for shard in shards {
+            tx.send(shard).expect("worker channel closed");
         }
     }
 
@@ -486,7 +444,7 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Closing the channel ends every worker's recv loop; join so shard
-        // and engine handles are released before the manager is torn down.
+        // handles are released before the manager is torn down.
         self.tx.take();
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         for handle in state.handles.drain(..) {
@@ -505,63 +463,60 @@ struct WorkerTelemetry<'a> {
     quarantine_active: Arc<Gauge>,
 }
 
-fn worker_loop<D: TopicWordDistribution>(
-    rx: &Mutex<Receiver<WorkItem>>,
-    watermark: &Watermark,
-    engine: &SharedEngine<D>,
+impl<'a> WorkerTelemetry<'a> {
+    fn new(bundle: &'a Telemetry) -> Self {
+        WorkerTelemetry {
+            bundle,
+            item_hist: bundle.registry().histogram("worker.item"),
+            panics: bundle.registry().counter("worker.panics"),
+            quarantines: bundle.registry().counter("shard.quarantined"),
+            quarantine_active: bundle.registry().gauge("shard.quarantine_active"),
+        }
+    }
+}
+
+/// Drains lanes the calling thread took ownership of, one after another,
+/// through the same fault-isolated [`drain_lane`] the pool workers run —
+/// the synchronous ingest's refresh step when its epoch needs only one
+/// refresh thread.  Keeping that refresh on the thread that just wrote the
+/// index avoids handing the freshly written lists to another core.  A
+/// [`FaultKind::KillWorker`](crate::FaultKind::KillWorker) consumed here
+/// finds no worker to stop: it is flight-recorded like any other injection
+/// and otherwise changes nothing.
+pub(crate) fn drain_on_caller(
+    shards: &[Arc<ShardCell>],
     registry: &DeliveryRegistry,
     telemetry: &Telemetry,
     faults: Option<&FaultPlan>,
 ) {
-    let wt = WorkerTelemetry {
-        bundle: telemetry,
-        item_hist: telemetry.registry().histogram("worker.item"),
-        panics: telemetry.registry().counter("worker.panics"),
-        quarantines: telemetry.registry().counter("shard.quarantined"),
-        quarantine_active: telemetry.registry().gauge("shard.quarantine_active"),
-    };
+    if shards.is_empty() {
+        return;
+    }
+    let wt = WorkerTelemetry::new(telemetry);
+    for shard in shards {
+        let started = std::time::Instant::now();
+        drain_lane(shard, registry, faults, &wt);
+        wt.item_hist.record(started.elapsed());
+    }
+}
+
+fn worker_loop(
+    rx: &Mutex<Receiver<Arc<ShardCell>>>,
+    registry: &DeliveryRegistry,
+    telemetry: &Telemetry,
+    faults: Option<&FaultPlan>,
+) {
+    let wt = WorkerTelemetry::new(telemetry);
     loop {
         // Hold the receiver lock only while pulling the next item, never
         // while refreshing, so idle workers queue on the channel rather than
         // behind a busy one.
-        let item = match rx.lock().unwrap_or_else(|p| p.into_inner()).recv() {
-            Ok(item) => item,
+        let shard = match rx.lock().unwrap_or_else(|p| p.into_inner()).recv() {
+            Ok(shard) => shard,
             Err(_) => return, // channel closed: pool shut down
         };
         let started = std::time::Instant::now();
-        let die;
-        match item {
-            WorkItem::Live {
-                epoch,
-                shard,
-                delta,
-                collector,
-            } => {
-                let _complete = CompletionGuard(watermark, epoch);
-                let key = shard.shard().key();
-                die = faults.is_some_and(|plan| plan.take_worker_kill(epoch, key));
-                if die {
-                    wt.bundle.trigger_flight(FlightTrigger::FaultInjected {
-                        epoch,
-                        kind: "kill_worker",
-                    });
-                }
-                let slide = refresh_resilient(&shard, epoch, faults, &wt, |s| {
-                    let engine = engine.read();
-                    s.refresh_scheduled(&*engine, &delta, epoch)
-                });
-                if let Some(slide) = slide {
-                    deliver(registry, epoch, &slide.updates, faults, wt.bundle);
-                    collector
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .push(slide);
-                }
-            }
-            WorkItem::Pipelined { shard } => {
-                die = drain_lane(&shard, registry, faults, &wt);
-            }
-        }
+        let die = drain_lane(&shard, registry, faults, &wt);
         wt.item_hist.record(started.elapsed());
         if die {
             // An injected KillWorker: exit *between* items, after the lane
@@ -577,16 +532,16 @@ fn worker_loop<D: TopicWordDistribution>(
 /// `catch_unwind` around the attempt, bounded retry with exponential
 /// backoff, and quarantine + epoch shed when the budget is exhausted.
 ///
-/// Returns `Some(outcome)` when an attempt completed, `None` when the epoch
-/// was shed.  Two invariants hold on every path:
+/// Returns the completed attempt's outcome, or [`LaneOutcome::Skipped`] with
+/// the residents charged when the epoch was shed.  Two invariants hold on
+/// every path:
 ///
 /// * **No partial delta is ever published.**  The attempt's updates only
 ///   leave this function on a completed attempt; a panic mid-walk unwinds
 ///   past them.
-/// * **The watermark still advances.**  Completion is the caller's guard
-///   ([`CompletionGuard`] / [`EpochTask`]), which drops whether the attempt
-///   completed, retried, or shed — a panicking shard can stall nothing but
-///   itself.
+/// * **The watermark still advances.**  Completion is the caller's
+///   [`EpochTask`], which drops whether the attempt completed, retried, or
+///   shed — a panicking shard can stall nothing but itself.
 ///
 /// Injected [`FaultKind::PanicInRefresh`](crate::FaultKind::PanicInRefresh)
 /// faults fire at the attempt's *entry*, before any shard state is touched,
@@ -598,13 +553,13 @@ fn worker_loop<D: TopicWordDistribution>(
 /// left; the retry's classify pass carries them forward, though a resident
 /// refreshed twice is charged twice — the per-subscription counters are
 /// best-effort across *real* mid-walk panics).
-fn refresh_resilient<T>(
+fn refresh_resilient(
     cell: &ShardCell,
     epoch: u64,
     faults: Option<&FaultPlan>,
     wt: &WorkerTelemetry<'_>,
-    attempt: impl Fn(&mut Shard) -> T,
-) -> Option<T> {
+    attempt: impl Fn(&mut Shard) -> LaneOutcome,
+) -> LaneOutcome {
     let key = cell.shard().key();
     let label = label_of(key);
     let mut failures = 0;
@@ -624,7 +579,7 @@ fn refresh_resilient<T>(
             attempt(&mut shard)
         }));
         match outcome {
-            Ok(done) => return Some(done),
+            Ok(done) => return done,
             Err(_) => {
                 wt.panics.inc();
                 wt.bundle
@@ -656,13 +611,15 @@ fn refresh_resilient<T>(
                     // (through the same `skip_all` bookkeeping as a filter
                     // skip), so `refreshes + skips` and the timeline keep
                     // reconciling and the watermark advances.
-                    let shed = shard.skip_all(epoch) as u64;
+                    let shed = shard.skip_all(epoch);
                     wt.bundle.record(
                         epoch,
                         Some(label),
-                        TraceEventKind::EpochShed { residents: shed },
+                        TraceEventKind::EpochShed {
+                            residents: shed as u64,
+                        },
                     );
-                    return None;
+                    return LaneOutcome::Skipped(shed);
                 }
                 std::thread::sleep(Duration::from_micros(100u64 << failures));
             }
@@ -706,7 +663,7 @@ fn drain_lane(
                 die = true;
             }
         }
-        let slide = refresh_resilient(cell, task.epoch, faults, wt, |shard| {
+        let outcome = refresh_resilient(cell, task.epoch, faults, wt, |shard| {
             if shard.is_touched_by(&task.delta) {
                 let source = match task.policy {
                     // Exact serves the epoch image as-is: no spec walk, no
@@ -716,14 +673,20 @@ fn drain_lane(
                         Arc::clone(&task.snapshot).shard_source(&shard.prefix_spec(), task.policy)
                     }
                 };
-                Some(shard.refresh_scheduled(source.as_ref(), &task.delta, task.epoch))
+                LaneOutcome::Refreshed(shard.refresh_scheduled(
+                    source.as_ref(),
+                    &task.delta,
+                    task.epoch,
+                ))
             } else {
-                shard.skip_all(task.epoch);
-                None
+                LaneOutcome::Skipped(shard.skip_all(task.epoch))
             }
         });
-        if let Some(Some(slide)) = slide {
+        if let LaneOutcome::Refreshed(slide) = &outcome {
             deliver(registry, task.epoch, &slide.updates, faults, wt.bundle);
+        }
+        if let Some(sink) = &task.outcome {
+            sink.lock().unwrap_or_else(|p| p.into_inner()).push(outcome);
         }
     }
 }

@@ -157,6 +157,23 @@ fn pipelined_deltas_equal_sync_outcomes_slide_for_slide() {
             assert!((a.score - b.score).abs() < 1e-12);
         }
 
+        // Both runs above share the epoch refresh code, so also hold the
+        // pipelined results to a reference that does not: a from-scratch
+        // query against the final engine state.
+        for (id, query, algorithm) in &pipe_subs {
+            let fresh = pipe_mgr.engine().query(query, *algorithm).unwrap();
+            let maintained = pipe_mgr.result(*id).unwrap();
+            assert_eq!(
+                maintained.sorted_elements(),
+                fresh.sorted_elements(),
+                "seed={seed} {config:?}: {id} ({algorithm}) diverges from scratch"
+            );
+            assert!(
+                (maintained.score - fresh.score).abs() < 1e-9,
+                "seed={seed}: {id} ({algorithm}) score diverges from scratch"
+            );
+        }
+
         // Depth ≥ 2 with scheduled work runs on snapshots.
         let snap = pipe_mgr.snapshot_stats();
         if config.pipeline_depth >= 2 {
@@ -275,4 +292,55 @@ fn truncated_policy_reconciles_and_reports_savings() {
             "shard snapshots must have captured some prefixes"
         );
     }
+}
+
+/// The synchronous API stays the exact reference under a truncating
+/// snapshot policy: a synchronous epoch's snapshot never outlives its slide,
+/// so it is captured whole even when the config asks for floor-truncated
+/// prefixes.  No prefix is truncated, and after every slide each maintained
+/// result equals a from-scratch query — while the pipelined run of the same
+/// workload does truncate, so the policy is not vacuous here.
+#[test]
+fn sync_path_stays_exact_under_truncating_policy() {
+    let config = ShardConfig::default().with_snapshot_policy(SnapshotPolicy::TruncateAtFloors);
+
+    let (mut pipelined, _, stream) = planted_manager(21, config);
+    pipelined.ingest_stream_async(stream.iter_pairs()).unwrap();
+    pipelined.sync();
+    assert!(
+        pipelined.snapshot_stats().prefixes_truncated > 0,
+        "the pipelined run must exercise truncation"
+    );
+
+    let (mut mgr, subs, stream) = planted_manager(21, config);
+    let bucket_len = mgr.engine().config().window.bucket_len();
+    let now = mgr.engine().now();
+    let mut slides = 0;
+    ksir_stream::for_each_bucket(bucket_len, now, stream.iter_pairs(), |bucket, end| {
+        mgr.ingest_bucket(bucket, end)?;
+        slides += 1;
+        for (id, query, algorithm) in &subs {
+            let fresh = mgr.engine().query(query, *algorithm)?;
+            let maintained = mgr.result(*id).unwrap();
+            assert_eq!(
+                maintained.sorted_elements(),
+                fresh.sorted_elements(),
+                "slide {slides}: {id} ({algorithm}) diverges from scratch"
+            );
+            assert!(
+                (maintained.score - fresh.score).abs() < 1e-9,
+                "slide {slides}: {id} ({algorithm}) score diverges from scratch"
+            );
+        }
+        Ok(())
+    })
+    .unwrap();
+    assert!(slides > 0);
+    let snap = mgr.snapshot_stats();
+    assert!(snap.epochs_captured > 0, "the sync run captured epochs");
+    assert_eq!(
+        (snap.prefixes_truncated, snap.truncation_shortfalls),
+        (0, 0),
+        "a synchronous epoch was captured truncated"
+    );
 }

@@ -270,6 +270,49 @@ fn delayed_snapshot_capture_changes_nothing() {
     assert_matches_clean(&mgr, &clean, &subs, "delayed snapshot");
 }
 
+/// The synchronous API drains its lanes through the same fault-isolated
+/// `drain_lane` as the pipeline, so a recovering refresh panic and worker
+/// kills reach it too — and leave every `SlideOutcome`, the stats, and the
+/// results identical to a clean synchronous run, both when the ingesting
+/// thread drains every lane itself (serial) and on a forced 4-thread pool.
+#[test]
+fn sync_ingest_absorbs_refresh_panics_and_worker_kills() {
+    let ex = paper_example();
+    let mut clean = SubscriptionManager::new(ex.empty_engine());
+    let subs = subscribe_workload(&mut clean);
+    let clean_outcomes = clean.ingest_stream(ex.stream()).unwrap();
+
+    for config in [
+        ShardConfig::serial(),
+        ShardConfig::default().with_threads(Some(4)),
+    ] {
+        let mut mgr = SubscriptionManager::with_shard_config(ex.empty_engine(), config);
+        assert_eq!(subscribe_workload(&mut mgr), subs);
+        let plan = Arc::new(FaultPlan::new(vec![
+            Fault::once(2, None, FaultKind::KillWorker),
+            Fault::once(3, None, FaultKind::PanicInRefresh),
+            Fault::once(5, None, FaultKind::KillWorker),
+        ]));
+        mgr.inject_faults(Arc::clone(&plan));
+        let outcomes = mgr.ingest_stream(ex.stream()).unwrap();
+
+        let context = format!("sync {config:?}");
+        assert_eq!(plan.remaining(), 0, "{context}: every fault fired");
+        let registry = mgr.telemetry().registry();
+        assert_eq!(registry.counter("worker.panics").get(), 1, "{context}");
+        if config.max_threads == Some(1) {
+            // Every lane drained on the ingesting thread: the kills were
+            // consumed there, with no pool worker to stop.
+            assert_eq!(registry.counter("worker.restarts").get(), 0, "{context}");
+        }
+        assert_eq!(mgr.quarantined_shards(), 0, "{context}");
+        assert_eq!(outcomes, clean_outcomes, "{context}: outcomes diverge");
+        assert_eq!(mgr.stats(), clean.stats(), "{context}: stats diverge");
+        assert_eq!(mgr.completed_epoch(), outcomes.len() as u64, "{context}");
+        assert_matches_clean(&mgr, &clean, &subs, &context);
+    }
+}
+
 /// Arrival permuted within the reorder horizon is re-sequenced exactly:
 /// decisions, results, and counters match in-order replay, with the
 /// out-of-order buckets counted.

@@ -208,7 +208,7 @@ fn pipelined_timeline_reconciles_exactly_with_stats() {
 }
 
 /// The synchronous path emits the same trace schema: a plain
-/// `ingest_bucket` run (inline and forced-parallel refresh) reconciles the
+/// `ingest_bucket` run (default and forced 4-thread pool) reconciles the
 /// timeline against the stats and reproduces the per-slide outcome counts.
 #[test]
 fn sync_path_trace_reconciles_with_shard_stats() {
@@ -229,8 +229,24 @@ fn sync_path_trace_reconciles_with_shard_stats() {
             assert_eq!(record.shards_skipped, outcome.shards_skipped as u64);
             assert_eq!(record.updates, outcome.updates.len() as u64);
         }
-        // The sync path never snapshots.
-        assert_eq!(timeline.total_snapshots(), 0);
+        // The sync path runs the pipelined epoch: every capture is traced,
+        // and because each slide waits for its refreshes before the next
+        // index write, no snapshot is alive when the writer mutates — so the
+        // engine never pays a copy-on-write clone.
+        assert_eq!(
+            timeline.total_snapshots(),
+            mgr.snapshot_stats().epochs_captured as u64
+        );
+        let engine = mgr.engine().stats();
+        assert_eq!(
+            (
+                engine.window_cow_clones,
+                engine.topic_vector_cow_clones,
+                engine.ranked_cow_clones
+            ),
+            (0, 0, 0),
+            "threads={threads:?}: a sync-only run copied engine state"
+        );
     }
 }
 

@@ -53,7 +53,6 @@ pub mod evaluator;
 pub mod fixtures;
 pub mod query;
 pub mod scorer;
-pub mod shared;
 pub mod view;
 
 pub use config::{EngineConfig, ScoringConfig};
@@ -61,7 +60,6 @@ pub use engine::{EngineStats, IngestReport, KsirEngine};
 pub use evaluator::{CandidateState, QueryEvaluator, SingletonCache};
 pub use query::{Algorithm, FloorAggregate, KsirQuery, QueryFrontier, QueryResult};
 pub use scorer::{entropy_weight, propagation_prob, word_weight, Scorer};
-pub use shared::SharedEngine;
 pub use view::{
     prime_singleton_cache, run_query, run_query_cached, CoveringOutcome, QuerySource, RankedView,
     StoredScore,
