@@ -2,7 +2,6 @@
 //! scores, set scores and incremental marginal gains over a realistic active
 //! window.
 
-use std::collections::HashMap;
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -10,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ksir_bench::{build_engine, ProcessingConfig};
 use ksir_core::{KsirQuery, QueryEvaluator};
 use ksir_datagen::{DatasetProfile, QueryWorkloadGenerator, StreamGenerator};
-use ksir_types::{DenseTopicWordTable, ElementId, TopicVector};
+use ksir_types::{DenseTopicWordTable, ElementId};
 
 struct Setup {
     engine: ksir_core::KsirEngine<DenseTopicWordTable>,
@@ -35,16 +34,6 @@ fn setup(profile: DatasetProfile) -> Setup {
     Setup { engine, query, ids }
 }
 
-fn topic_map(
-    engine: &ksir_core::KsirEngine<DenseTopicWordTable>,
-) -> HashMap<ElementId, TopicVector> {
-    engine
-        .active_ids()
-        .into_iter()
-        .filter_map(|id| engine.topic_vector(id).map(|tv| (id, tv.clone())))
-        .collect()
-}
-
 fn bench_scoring(c: &mut Criterion) {
     let mut group = c.benchmark_group("scoring");
     group.sample_size(30);
@@ -53,7 +42,7 @@ fn bench_scoring(c: &mut Criterion) {
         let s = setup(profile);
         let scorer = s.engine.scorer();
         let vector = s.query.vector().clone();
-        let tv_map = topic_map(&s.engine);
+        let tv_map = s.engine.topic_vectors();
         let sample: Vec<ElementId> = s.ids.iter().copied().take(10).collect();
 
         group.bench_function(BenchmarkId::new("singleton_delta", &name), |b| {
@@ -72,8 +61,7 @@ fn bench_scoring(c: &mut Criterion) {
             BenchmarkId::new("incremental_marginal_gain_10", &name),
             |b| {
                 b.iter(|| {
-                    let evaluator =
-                        QueryEvaluator::new(scorer, s.engine.window(), &tv_map, &vector);
+                    let evaluator = QueryEvaluator::new(scorer, s.engine.window(), tv_map, &vector);
                     let mut state = evaluator.new_candidate();
                     let mut total = 0.0;
                     for &id in &sample {

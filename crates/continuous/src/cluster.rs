@@ -46,11 +46,9 @@
 //!    guarding frontier, so those paths drop the memo outright
 //!    (`PlanCluster::invalidate_cache`) — a pure cost event.
 
-use std::collections::HashSet;
-
 use ksir_core::{Algorithm, FloorAggregate, KsirQuery, SingletonCache};
 use ksir_stream::WindowDelta;
-use ksir_types::ElementId;
+use ksir_types::{ElementId, IdSet};
 
 use crate::subscription::{Subscription, SubscriptionId};
 
@@ -103,7 +101,7 @@ pub(crate) struct PlanCluster {
     /// Loosest traversal floor per watched topic across the members.
     pub(crate) floors: FloorAggregate,
     /// Union of member result elements (refresh rule 2 at cluster level).
-    pub(crate) result_members: HashSet<ElementId>,
+    pub(crate) result_members: IdSet<ElementId>,
     /// Members that have never been evaluated (refresh rule 1).
     pub(crate) pending_initial: usize,
 }
@@ -117,7 +115,7 @@ impl PlanCluster {
             covering: sub.query.clone(),
             cache: sub.cache.as_ref().map(|_| SingletonCache::new()),
             floors: FloorAggregate::new(),
-            result_members: HashSet::new(),
+            result_members: IdSet::default(),
             pending_initial: 0,
         };
         cluster.absorb(sub);

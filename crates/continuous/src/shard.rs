@@ -46,7 +46,7 @@
 //! same rules as the per-subscription walk, so stats and delivered deltas
 //! are identical — only the number of evaluations changes.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -54,7 +54,7 @@ use ksir_core::{FloorAggregate, KsirQuery, QueryResult, QuerySource};
 use ksir_snapshot::{PrefixSpec, SnapshotPolicy, SnapshotSource};
 use ksir_stream::WindowDelta;
 use ksir_telemetry::{Counter, Histogram, ShardLabel, Telemetry, TelemetryConfig, TraceEventKind};
-use ksir_types::{ElementId, TopicId};
+use ksir_types::{ElementId, IdSet, TopicId};
 
 use crate::cluster::{ClusterKey, PlanCluster};
 use crate::overload::OverloadConfig;
@@ -614,7 +614,7 @@ pub(crate) struct Shard {
     /// Loosest traversal floor per watched topic across residents.
     floors: FloorAggregate,
     /// Union of resident result members (refresh rule 2 at shard level).
-    members: HashSet<ElementId>,
+    members: IdSet<ElementId>,
     /// Residents that have never been evaluated (refresh rule 1).
     pending_initial: usize,
     /// Whether classified refreshes may run delta-restricted
@@ -663,7 +663,7 @@ impl Shard {
             key,
             subs: BTreeMap::new(),
             floors: FloorAggregate::new(),
-            members: HashSet::new(),
+            members: IdSet::default(),
             pending_initial: 0,
             delta_refresh,
             shared_plans,

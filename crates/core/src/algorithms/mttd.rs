@@ -10,9 +10,9 @@
 //! `(1 − 1/e − ε)` (Theorem 4.4) at the cost of a higher worst-case
 //! complexity than MTTS.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-use ksir_types::{ElementId, TopicWordDistribution};
+use ksir_types::{ElementId, IdMap, TopicWordDistribution};
 
 use crate::algorithms::{singleton_score, ScoredElement, SupportCursors};
 use crate::evaluator::{CandidateState, QueryEvaluator, SingletonCache};
@@ -32,7 +32,7 @@ pub(crate) fn run<D: TopicWordDistribution, V: RankedView + ?Sized>(
 
     // Buffer E′ of retrieved-but-not-selected elements: cached gain upper
     // bounds plus a lazy max-heap over them.
-    let mut cached: HashMap<ElementId, f64> = HashMap::new();
+    let mut cached: IdMap<ElementId, f64> = IdMap::default();
     let mut heap: BinaryHeap<ScoredElement> = BinaryHeap::new();
 
     let mut tau = cursors.upper_bound();

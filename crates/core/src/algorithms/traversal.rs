@@ -8,10 +8,8 @@
 //! element.  Once an element has been retrieved from one list, its tuples in
 //! the other lists are treated as visited so it is never retrieved twice.
 
-use std::collections::HashSet;
-
 use ksir_stream::RankedListCursor;
-use ksir_types::{ElementId, TopicId};
+use ksir_types::{ElementId, IdSet, TopicId};
 
 use crate::query::QueryFrontier;
 use crate::view::RankedView;
@@ -19,7 +17,7 @@ use crate::view::RankedView;
 /// Cursors over the ranked lists of the query's support topics.
 pub(crate) struct SupportCursors<'a> {
     cursors: Vec<(TopicId, f64, RankedListCursor<'a>)>,
-    visited: HashSet<ElementId>,
+    visited: IdSet<ElementId>,
 }
 
 impl<'a> SupportCursors<'a> {
@@ -33,7 +31,7 @@ impl<'a> SupportCursors<'a> {
             .collect();
         SupportCursors {
             cursors,
-            visited: HashSet::new(),
+            visited: IdSet::default(),
         }
     }
 

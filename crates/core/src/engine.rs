@@ -6,14 +6,14 @@
 //! references and the per-topic ranked lists; ad-hoc k-SIR queries are then
 //! answered from the ranked lists without touching the raw stream.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ksir_stream::{ActiveWindow, RankedLists, WindowDelta};
 use ksir_types::{
-    ElementId, KsirError, QueryVector, Result, SocialElement, Timestamp, TopicId, TopicVector,
-    TopicWordDistribution,
+    ElementId, IdMap, KsirError, QueryVector, Result, SocialElement, Timestamp, TopicId,
+    TopicVector, TopicWordDistribution,
 };
 
 use crate::config::{ArchiveRetention, EngineConfig};
@@ -21,6 +21,11 @@ use crate::evaluator::QueryEvaluator;
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 use crate::scorer::Scorer;
 use crate::view::{self, QuerySource};
+
+/// The engine's per-element topic vectors `p_i(e)` of the active elements,
+/// keyed by element id — the map the scorer, the query evaluator and epoch
+/// snapshots read.
+pub type TopicVectors = IdMap<ElementId, TopicVector>;
 
 /// Counters describing the work an engine has performed so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -88,11 +93,11 @@ pub struct KsirEngine<D> {
     window: Arc<ActiveWindow>,
     ranked: RankedLists,
     /// Same copy-on-write scheme as the window.
-    topic_vectors: Arc<HashMap<ElementId, TopicVector>>,
+    topic_vectors: Arc<TopicVectors>,
     /// Every ingested element (subject to the retention policy), kept so that
     /// references from new arrivals can bring expired parents back into the
     /// active set, as required by the paper's definition of `A_t`.
-    archive: HashMap<ElementId, (SocialElement, TopicVector)>,
+    archive: IdMap<ElementId, (SocialElement, TopicVector)>,
     stats: EngineStats,
     /// Queries served; atomic because [`KsirEngine::query`] takes `&self`.
     queries: AtomicUsize,
@@ -113,8 +118,8 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
             phi: Arc::new(phi),
             window: Arc::new(ActiveWindow::new(config.window)),
             ranked: RankedLists::new(num_topics),
-            topic_vectors: Arc::new(HashMap::new()),
-            archive: HashMap::new(),
+            topic_vectors: Arc::default(),
+            archive: IdMap::default(),
             stats: EngineStats::default(),
             queries: AtomicUsize::new(0),
             config,
@@ -132,7 +137,7 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
 
     /// Mutable access to the topic-vector map, same copy-on-write scheme as
     /// [`KsirEngine::window_mut`].
-    fn topic_vectors_mut(&mut self) -> &mut HashMap<ElementId, TopicVector> {
+    fn topic_vectors_mut(&mut self) -> &mut TopicVectors {
         if Arc::strong_count(&self.topic_vectors) > 1 {
             self.stats.topic_vector_cow_clones += 1;
         }
@@ -169,7 +174,7 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
 
     /// An `O(1)` immutable image of the per-element topic vectors, frozen
     /// like [`KsirEngine::shared_window`].
-    pub fn shared_topic_vectors(&self) -> Arc<HashMap<ElementId, TopicVector>> {
+    pub fn shared_topic_vectors(&self) -> Arc<TopicVectors> {
         Arc::clone(&self.topic_vectors)
     }
 
@@ -199,7 +204,7 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
     }
 
     /// The full per-element topic-vector map.
-    pub fn topic_vectors(&self) -> &HashMap<ElementId, TopicVector> {
+    pub fn topic_vectors(&self) -> &TopicVectors {
         self.topic_vectors.as_ref()
     }
 
@@ -322,10 +327,15 @@ impl<D: TopicWordDistribution> KsirEngine<D> {
         }
 
         let expired = self.window_mut().advance_to(bucket_end)?;
-        for id in &expired {
-            self.ranked.remove_everywhere(*id);
-            self.topic_vectors_mut().remove(id);
-            touched.remove(id);
+        for &id in &expired {
+            // An element's tuples live exactly in the lists of its topic
+            // support (see `refresh_tuples`), so only those lists are probed.
+            if let Some(tv) = self.topic_vectors_mut().remove(&id) {
+                for (topic, _) in tv.support() {
+                    self.ranked.remove(topic, id);
+                }
+            }
+            touched.remove(&id);
         }
         self.prune_archive(bucket_end);
 

@@ -13,13 +13,20 @@
 //!
 //! so that the marginal gain of `e` is computable in `O((|V_e| + |I_t(e)|)·d)`
 //! — the complexity the paper's analysis assumes.
+//!
+//! A gain evaluation allocates nothing: it looks the element up in the window
+//! and in the topic-vector map once each, walks `I_t(e)` through the window's
+//! borrowing iterator, and reads the per-topic state from [`IdMap`]s (see
+//! [`ksir_types::hash`] for why those are not `std`'s SipHash maps).
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
 
 use ksir_stream::ActiveWindow;
-use ksir_types::{ElementId, QueryVector, TopicId, TopicVector, TopicWordDistribution, WordId};
+use ksir_types::{
+    ElementId, IdMap, IdSet, QueryVector, TopicId, TopicVector, TopicWordDistribution, WordId,
+};
 
+use crate::engine::TopicVectors;
 use crate::scorer::{propagation_prob, word_weight, Scorer};
 
 /// Incremental state of one candidate result set.
@@ -34,9 +41,9 @@ pub struct CandidateState {
 #[derive(Debug, Clone)]
 struct TopicState {
     /// Best word weight `max_{e∈S} σ_i(w, e)` per covered word.
-    word_best: HashMap<WordId, f64>,
+    word_best: IdMap<WordId, f64>,
     /// Survival probability `Π (1 − p_i(e' ⤳ c))` per influenced element `c`.
-    child_survival: HashMap<ElementId, f64>,
+    child_survival: IdMap<ElementId, f64>,
 }
 
 impl CandidateState {
@@ -46,8 +53,8 @@ impl CandidateState {
             score: 0.0,
             topics: (0..num_query_topics)
                 .map(|_| TopicState {
-                    word_best: HashMap::new(),
-                    child_survival: HashMap::new(),
+                    word_best: IdMap::default(),
+                    child_survival: IdMap::default(),
                 })
                 .collect(),
         }
@@ -107,10 +114,10 @@ impl CandidateState {
 /// which is why they must not survive the run.
 #[derive(Debug, Clone, Default)]
 pub struct SingletonCache {
-    scores: HashMap<ElementId, f64>,
+    scores: IdMap<ElementId, f64>,
     /// Elements consulted (hit or remembered) by the current run; the memo is
     /// pruned to this set when the run ends.
-    consulted: HashSet<ElementId>,
+    consulted: IdSet<ElementId>,
     /// Nesting depth of open run scopes.  A cluster's covering evaluation
     /// wraps several `run_query_cached` calls in one outer scope
     /// ([`SingletonCache::begin_scope`]); only the outermost scope clears the
@@ -244,13 +251,19 @@ impl SingletonCache {
     }
 }
 
+/// `p_i(e)` from an element's (possibly absent) topic vector.
+#[inline]
+fn topic_prob(tv: Option<&TopicVector>, topic: TopicId) -> f64 {
+    tv.and_then(|tv| tv.get(topic)).unwrap_or(0.0)
+}
+
 /// Evaluates singleton scores and marginal gains for one k-SIR query, counting
 /// how many evaluations were performed.
 #[derive(Debug)]
 pub struct QueryEvaluator<'a, D> {
     scorer: Scorer<'a, D>,
     window: &'a ActiveWindow,
-    topic_vectors: &'a HashMap<ElementId, TopicVector>,
+    topic_vectors: &'a TopicVectors,
     /// Non-zero entries of the query vector: `(topic, x_i)`.
     support: Vec<(TopicId, f64)>,
     gain_evaluations: Cell<usize>,
@@ -261,7 +274,7 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
     pub fn new(
         scorer: Scorer<'a, D>,
         window: &'a ActiveWindow,
-        topic_vectors: &'a HashMap<ElementId, TopicVector>,
+        topic_vectors: &'a TopicVectors,
         query: &QueryVector,
     ) -> Self {
         QueryEvaluator {
@@ -288,10 +301,7 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
     }
 
     fn element_topic_prob(&self, id: ElementId, topic: TopicId) -> f64 {
-        self.topic_vectors
-            .get(&id)
-            .and_then(|tv| tv.get(topic))
-            .unwrap_or(0.0)
+        topic_prob(self.topic_vectors.get(&id), topic)
     }
 
     /// The singleton score `δ(e, x)` of one element.
@@ -314,16 +324,17 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
     /// zero gain.
     pub fn marginal_gain(&self, state: &CandidateState, id: ElementId) -> f64 {
         self.bump();
-        if state.contains(id) || !self.window.contains(id) {
+        if state.contains(id) {
             return 0.0;
         }
         let Some(element) = self.window.get(id) else {
             return 0.0;
         };
+        let tv = self.topic_vectors.get(&id);
         let config = self.scorer.config();
         let mut gain = 0.0;
         for (slot, &(topic, x_i)) in self.support.iter().enumerate() {
-            let p_elem = self.element_topic_prob(id, topic);
+            let p_elem = topic_prob(tv, topic);
             let topic_state = &state.topics[slot];
 
             // Semantic gain: words whose best weight improves.
@@ -369,16 +380,17 @@ impl<'a, D: TopicWordDistribution> QueryEvaluator<'a, D> {
     /// Returns the realised gain (equal to [`QueryEvaluator::marginal_gain`]
     /// at the moment of insertion).
     pub fn insert(&self, state: &mut CandidateState, id: ElementId) -> f64 {
-        if state.contains(id) || !self.window.contains(id) {
+        if state.contains(id) {
             return 0.0;
         }
         let Some(element) = self.window.get(id) else {
             return 0.0;
         };
+        let tv = self.topic_vectors.get(&id);
         let config = self.scorer.config();
         let mut gain = 0.0;
         for (slot, &(topic, x_i)) in self.support.iter().enumerate() {
-            let p_elem = self.element_topic_prob(id, topic);
+            let p_elem = topic_prob(tv, topic);
             let topic_state = &mut state.topics[slot];
 
             let mut semantic = 0.0;
@@ -432,11 +444,7 @@ mod tests {
     use ksir_types::{DenseTopicWordTable, SocialElementBuilder, Timestamp};
 
     /// Tiny two-topic fixture: three elements, one reference.
-    fn fixture() -> (
-        DenseTopicWordTable,
-        ActiveWindow,
-        HashMap<ElementId, TopicVector>,
-    ) {
+    fn fixture() -> (DenseTopicWordTable, ActiveWindow, TopicVectors) {
         let phi = DenseTopicWordTable::from_rows(vec![
             vec![0.4, 0.3, 0.2, 0.1, 0.0, 0.0],
             vec![0.0, 0.0, 0.1, 0.2, 0.3, 0.4],
@@ -453,7 +461,7 @@ mod tests {
                 .referencing(2)
                 .build(),
         ];
-        let mut tvs = HashMap::new();
+        let mut tvs = TopicVectors::default();
         tvs.insert(
             ElementId(1),
             TopicVector::from_values(vec![0.9, 0.1]).unwrap(),

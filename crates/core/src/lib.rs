@@ -56,7 +56,7 @@ pub mod scorer;
 pub mod view;
 
 pub use config::{EngineConfig, ScoringConfig};
-pub use engine::{EngineStats, IngestReport, KsirEngine};
+pub use engine::{EngineStats, IngestReport, KsirEngine, TopicVectors};
 pub use evaluator::{CandidateState, QueryEvaluator, SingletonCache};
 pub use query::{Algorithm, FloorAggregate, KsirQuery, QueryFrontier, QueryResult};
 pub use scorer::{entropy_weight, propagation_prob, word_weight, Scorer};

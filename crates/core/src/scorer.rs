@@ -8,14 +8,11 @@
 //! implementation here is the reference that tests (including the paper's
 //! worked examples) and the brute-force optimum check verify against.
 
-use std::collections::HashMap;
-
 use ksir_stream::ActiveWindow;
-use ksir_types::{
-    Document, ElementId, QueryVector, TopicId, TopicVector, TopicWordDistribution, WordId,
-};
+use ksir_types::{Document, ElementId, IdMap, QueryVector, TopicId, TopicWordDistribution, WordId};
 
 use crate::config::ScoringConfig;
+use crate::engine::TopicVectors;
 
 /// The entropy weight `h(p) = -p·ln p`, with `h(0) = 0`.
 ///
@@ -56,7 +53,7 @@ pub struct Scorer<'a, D> {
     phi: &'a D,
     config: ScoringConfig,
     window: &'a ActiveWindow,
-    topic_vectors: &'a HashMap<ElementId, TopicVector>,
+    topic_vectors: &'a TopicVectors,
 }
 
 // Manual impls: the scorer only holds shared references, so it is copyable
@@ -76,7 +73,7 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
         phi: &'a D,
         config: ScoringConfig,
         window: &'a ActiveWindow,
-        topic_vectors: &'a HashMap<ElementId, TopicVector>,
+        topic_vectors: &'a TopicVectors,
     ) -> Self {
         Scorer {
             phi,
@@ -139,7 +136,7 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
     /// The semantic score `R_i(S)` of a set (Equation 3): each distinct word of
     /// the set contributes the *maximum* of its weights across the members.
     pub fn semantic_set(&self, topic: TopicId, ids: &[ElementId]) -> f64 {
-        let mut best: HashMap<WordId, f64> = HashMap::new();
+        let mut best: IdMap<WordId, f64> = IdMap::default();
         for &id in ids {
             let Some(element) = self.window.get(id) else {
                 continue;
@@ -165,7 +162,6 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
         }
         self.window
             .influenced_by(id)
-            .into_iter()
             .map(|child| propagation_prob(p_parent, self.element_topic_prob(child, topic)))
             .sum()
     }
@@ -175,7 +171,7 @@ impl<'a, D: TopicWordDistribution> Scorer<'a, D> {
     pub fn influence_set(&self, topic: TopicId, ids: &[ElementId]) -> f64 {
         // For each influenced element e, the survival probability
         // Π_{e' ∈ S ∩ e.ref} (1 - p_i(e' ⤳ e)); the coverage is 1 - survival.
-        let mut survival: HashMap<ElementId, f64> = HashMap::new();
+        let mut survival: IdMap<ElementId, f64> = IdMap::default();
         for &id in ids {
             let p_parent = self.element_topic_prob(id, topic);
             for child in self.window.influenced_by(id) {

@@ -21,13 +21,12 @@
 //! `ksir-continuous` can refresh a subscription without caring which side of
 //! the epoch boundary they are reading.
 
-use std::collections::HashMap;
-
 use ksir_stream::{ActiveWindow, RankedListCursor, RankedLists, WindowDelta, FLOOR_SLACK};
-use ksir_types::{ElementId, KsirError, Result, TopicId, TopicVector, TopicWordDistribution};
+use ksir_types::{ElementId, KsirError, Result, TopicId, TopicWordDistribution};
 
 use crate::algorithms;
 use crate::config::ScoringConfig;
+use crate::engine::TopicVectors;
 use crate::evaluator::{QueryEvaluator, SingletonCache};
 use crate::query::{Algorithm, KsirQuery, QueryResult};
 use crate::scorer::Scorer;
@@ -290,7 +289,7 @@ pub fn prime_singleton_cache<V: RankedView + ?Sized>(
 pub fn run_query<V, D>(
     view: &V,
     window: &ActiveWindow,
-    topic_vectors: &HashMap<ElementId, TopicVector>,
+    topic_vectors: &TopicVectors,
     phi: &D,
     scoring: ScoringConfig,
     query: &KsirQuery,
@@ -330,7 +329,7 @@ where
 pub fn run_query_cached<V, D>(
     view: &V,
     window: &ActiveWindow,
-    topic_vectors: &HashMap<ElementId, TopicVector>,
+    topic_vectors: &TopicVectors,
     phi: &D,
     scoring: ScoringConfig,
     query: &KsirQuery,

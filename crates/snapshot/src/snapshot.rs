@@ -5,10 +5,10 @@ use std::sync::Arc;
 
 use ksir_core::{
     prime_singleton_cache, run_query, run_query_cached, Algorithm, KsirEngine, KsirQuery,
-    QueryResult, QuerySource, RankedView, ScoringConfig, SingletonCache, StoredScore,
+    QueryResult, QuerySource, RankedView, ScoringConfig, SingletonCache, StoredScore, TopicVectors,
 };
 use ksir_stream::{ActiveWindow, RankedListCursor, RankedListHandle, RankedPrefix, WindowDelta};
-use ksir_types::{ElementId, Result, Timestamp, TopicId, TopicVector, TopicWordDistribution};
+use ksir_types::{ElementId, Result, Timestamp, TopicId, TopicWordDistribution};
 
 use crate::stats::SnapshotCounters;
 use crate::SnapshotPolicy;
@@ -28,7 +28,7 @@ pub struct EngineSnapshot<D> {
     /// copy-on-write for it).
     lists: Vec<Option<RankedListHandle>>,
     window: Arc<ActiveWindow>,
-    topic_vectors: Arc<HashMap<ElementId, TopicVector>>,
+    topic_vectors: Arc<TopicVectors>,
     phi: Arc<D>,
     scoring: ScoringConfig,
     counters: SnapshotCounters,

@@ -9,10 +9,9 @@
 //! maintains the reverse-reference index `I_t(e)` — for each active element,
 //! the window elements that reference it — which the influence score needs.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use ksir_types::{ElementId, KsirError, Result, SocialElement, Timestamp};
+use ksir_types::{ElementId, IdMap, KsirError, Result, SocialElement, Timestamp};
 
 use crate::window::WindowConfig;
 
@@ -40,7 +39,7 @@ struct ActiveEntry {
 pub struct ActiveWindow {
     config: WindowConfig,
     now: Timestamp,
-    entries: HashMap<ElementId, ActiveEntry>,
+    entries: IdMap<ElementId, ActiveEntry>,
 }
 
 impl ActiveWindow {
@@ -49,7 +48,7 @@ impl ActiveWindow {
         ActiveWindow {
             config,
             now: Timestamp::ZERO,
-            entries: HashMap::new(),
+            entries: IdMap::default(),
         }
     }
 
@@ -113,27 +112,22 @@ impl ActiveWindow {
     }
 
     /// The set `I_t(e)`: ids of window elements that reference `id`,
-    /// restricted to the current window.
-    pub fn influenced_by(&self, id: ElementId) -> Vec<ElementId> {
+    /// restricted to the current window, in the order they were inserted.
+    /// Empty for an inactive `id`.  Borrows the window; allocates nothing.
+    pub fn influenced_by(&self, id: ElementId) -> impl Iterator<Item = ElementId> + '_ {
         let start = self.window_start();
-        match self.entries.get(&id) {
-            Some(entry) => entry
-                .children
-                .iter()
-                .filter(|(ts, _)| *ts >= start)
-                .map(|(_, c)| *c)
-                .collect(),
-            None => Vec::new(),
-        }
+        self.entries
+            .get(&id)
+            .map(|entry| entry.children.as_slice())
+            .unwrap_or_default()
+            .iter()
+            .filter(move |(ts, _)| *ts >= start)
+            .map(|&(_, child)| child)
     }
 
     /// Number of window elements referencing `id` (`|I_t(e)|`).
     pub fn influence_count(&self, id: ElementId) -> usize {
-        let start = self.window_start();
-        self.entries
-            .get(&id)
-            .map(|e| e.children.iter().filter(|(ts, _)| *ts >= start).count())
-            .unwrap_or(0)
+        self.influenced_by(id).count()
     }
 
     /// Inserts one element, wiring up reverse references to any active parent.
@@ -268,7 +262,10 @@ mod tests {
         assert_eq!(touched, vec![ElementId(1)]);
         w.advance_to(Timestamp(3)).unwrap();
         assert_eq!(w.last_referenced(ElementId(1)), Some(Timestamp(3)));
-        assert_eq!(w.influenced_by(ElementId(1)), vec![ElementId(2)]);
+        assert_eq!(
+            w.influenced_by(ElementId(1)).collect::<Vec<_>>(),
+            [ElementId(2)]
+        );
         assert_eq!(w.influence_count(ElementId(1)), 1);
         assert_eq!(w.influence_count(ElementId(2)), 0);
     }
@@ -302,7 +299,7 @@ mod tests {
             assert!(w.contains(ElementId(id)), "e{id} should be active");
         }
         // I_8(e3) = {e6, e8}: e4 expired, so it no longer counts.
-        let mut inf = w.influenced_by(ElementId(3));
+        let mut inf: Vec<ElementId> = w.influenced_by(ElementId(3)).collect();
         inf.sort_unstable();
         assert_eq!(inf, vec![ElementId(6), ElementId(8)]);
         // e1 and e2 are outside W_8 but still active (referenced).
@@ -349,7 +346,10 @@ mod tests {
         assert_eq!(w.influence_count(ElementId(1)), 2);
         w.advance_to(Timestamp(5)).unwrap();
         // window is [3,5]: e2 fell out, only e3 counts
-        assert_eq!(w.influenced_by(ElementId(1)), vec![ElementId(3)]);
+        assert_eq!(
+            w.influenced_by(ElementId(1)).collect::<Vec<_>>(),
+            [ElementId(3)]
+        );
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! operations to evaluate elements in decreasing order of their upper-bound
 //! score and terminate early.
 //!
-//! The list is a [`BTreeSet`] keyed by `(descending score, element id)` plus a
-//! hash map from element id to its current key, giving `O(log n)` insert,
-//! adjust and delete, and ordered traversal with zero allocation per step.
+//! The list is a [`BTreeMap`] from `(descending score, element id)` to the
+//! tuple's `t_e`, plus an [`IdMap`] from element id to its current tuple,
+//! giving `O(log n)` insert, adjust and delete, and ordered traversal that
+//! reads every tuple from the order itself — no allocation and no hash
+//! lookup per step.
 //! An ablation benchmark (`crates/bench/benches/ablation.rs`) compares this
 //! layout against a re-sorted `Vec` baseline.
 //!
@@ -25,10 +27,10 @@
 //! [`RankedPrefix`].  `ksir-snapshot` builds its per-epoch / per-shard
 //! snapshots out of exactly these two primitives.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ksir_types::{ElementId, Timestamp, TopicId};
+use ksir_types::{ElementId, IdMap, Timestamp, TopicId};
 
 use crate::delta::{RankedDelta, FLOOR_SLACK};
 
@@ -58,25 +60,22 @@ impl Ord for ScoreKey {
 }
 
 /// The shared (and therefore snapshot-able) storage of one ranked list.
+///
+/// `t_e` is stored twice — as the value of the order and in the point index —
+/// so that traversals never consult the index.
 #[derive(Debug, Clone, Default)]
 struct ListCore {
-    order: BTreeSet<ScoreKey>,
-    entries: HashMap<ElementId, (f64, Timestamp)>,
+    order: BTreeMap<ScoreKey, Timestamp>,
+    entries: IdMap<ElementId, (f64, Timestamp)>,
 }
 
 impl ListCore {
     fn first(&self) -> Option<(ElementId, f64, Timestamp)> {
-        self.order.iter().next().map(|k| {
-            let (_, ts) = self.entries[&k.id];
-            (k.id, k.score, ts)
-        })
+        self.iter().next()
     }
 
     fn iter(&self) -> impl Iterator<Item = (ElementId, f64, Timestamp)> + '_ {
-        self.order.iter().map(move |k| {
-            let (_, ts) = self.entries[&k.id];
-            (k.id, k.score, ts)
-        })
+        self.order.iter().map(|(k, &ts)| (k.id, k.score, ts))
     }
 
     /// Ordered iteration over the suffix of entries with score
@@ -89,10 +88,9 @@ impl ListCore {
             score: high + FLOOR_SLACK,
             id: ElementId(0),
         };
-        self.order.range(start..).map(move |k| {
-            let (_, ts) = self.entries[&k.id];
-            (k.id, k.score, ts)
-        })
+        self.order
+            .range(start..)
+            .map(|(k, &ts)| (k.id, k.score, ts))
     }
 }
 
@@ -167,7 +165,7 @@ impl RankedList {
                 id,
             });
         }
-        core.order.insert(ScoreKey { score, id });
+        core.order.insert(ScoreKey { score, id }, last_referenced);
     }
 
     /// Removes an element (no-op if absent).  Returns the removed tuple so
@@ -406,7 +404,7 @@ impl<'a> RankedListCursor<'a> {
 /// The full set of ranked lists, one per topic.
 ///
 /// Every mutation routed through [`RankedLists::upsert`] /
-/// [`RankedLists::remove_everywhere`] is additionally logged into a
+/// [`RankedLists::remove`] is additionally logged into a
 /// [`RankedDelta`] so incremental consumers (standing queries in
 /// `ksir-continuous`) can tell how high in each list a window slide reached.
 /// Call [`RankedLists::take_delta`] to drain the log; see the
@@ -441,8 +439,8 @@ impl RankedLists {
     ///
     /// Mutations through this escape hatch bypass the touch log; incremental
     /// consumers relying on [`RankedLists::take_delta`] should route all
-    /// changes through [`RankedLists::upsert`] and
-    /// [`RankedLists::remove_everywhere`] instead.
+    /// changes through [`RankedLists::upsert`] and [`RankedLists::remove`]
+    /// instead.
     pub fn list_mut(&mut self, topic: TopicId) -> &mut RankedList {
         &mut self.lists[topic.index()]
     }
@@ -459,17 +457,17 @@ impl RankedLists {
         list.upsert(id, score, ts);
     }
 
-    /// Removes an element from every list, logging a touch at each removed
-    /// tuple's score.  Returns how many lists held it.
-    pub fn remove_everywhere(&mut self, id: ElementId) -> usize {
-        let mut removed = 0;
-        for (i, list) in self.lists.iter_mut().enumerate() {
-            if let Some((score, _)) = list.remove(id) {
-                self.delta.record(TopicId(i as u32), score);
-                removed += 1;
-            }
-        }
-        removed
+    /// Removes an element's tuple from one topic's list, logging a touch at
+    /// the removed tuple's score.  Returns the removed tuple (`None`, and no
+    /// touch, if the list did not hold the element).
+    ///
+    /// The engine holds an element's tuples exactly in the lists of its
+    /// topic-vector support, so expiry removes them list by list from there
+    /// instead of probing every list.
+    pub fn remove(&mut self, topic: TopicId, id: ElementId) -> Option<(f64, Timestamp)> {
+        let removed = self.lists[topic.index()].remove(id)?;
+        self.delta.record(topic, removed.0);
+        Some(removed)
     }
 
     /// The touches accumulated since the last [`RankedLists::take_delta`] /
@@ -590,7 +588,7 @@ mod tests {
     }
 
     #[test]
-    fn ranked_lists_per_topic_and_remove_everywhere() {
+    fn ranked_lists_per_topic_and_removal() {
         let mut rls = RankedLists::new(3);
         assert_eq!(rls.num_topics(), 3);
         rls.upsert(TopicId(0), id(1), 0.65, Timestamp(8));
@@ -599,9 +597,11 @@ mod tests {
         assert_eq!(rls.total_entries(), 3);
         assert_eq!(rls.list(TopicId(0)).len(), 1);
         assert_eq!(rls.list(TopicId(2)).len(), 0);
-        assert_eq!(rls.remove_everywhere(id(1)), 2);
+        assert_eq!(rls.remove(TopicId(0), id(1)), Some((0.65, Timestamp(8))));
+        assert_eq!(rls.remove(TopicId(1), id(1)), Some((0.06, Timestamp(8))));
+        assert_eq!(rls.remove(TopicId(2), id(1)), None);
         assert_eq!(rls.total_entries(), 1);
-        assert_eq!(rls.remove_everywhere(id(1)), 0);
+        assert_eq!(rls.remove(TopicId(0), id(1)), None);
     }
 
     #[test]
@@ -625,10 +625,13 @@ mod tests {
         let drained = rls.take_delta();
         assert_eq!(drained.touch(TopicId(0)).unwrap().count, 3);
         assert!(rls.pending_delta().is_empty());
-        // removal touches every list that held the element, at the old scores
+        // removal touches every list that held the element, at the old
+        // scores; removing from a list that does not hold it touches nothing
         rls.upsert(TopicId(1), id(1), 0.7, Timestamp(4));
         rls.take_delta();
-        rls.remove_everywhere(id(1));
+        for topic in 0..3 {
+            rls.remove(TopicId(topic), id(1));
+        }
         let d = rls.take_delta();
         assert_eq!(d.touch(TopicId(0)).unwrap().high, 0.9);
         assert_eq!(d.touch(TopicId(1)).unwrap().high, 0.7);

@@ -12,7 +12,7 @@
 //! This crate defines those primitives:
 //!
 //! * strongly-typed identifiers ([`ElementId`], [`WordId`], [`TopicId`]) and
-//!   [`Timestamp`]s,
+//!   [`Timestamp`]s, plus [`IdMap`] / [`IdSet`], the maps keyed by them,
 //! * [`Document`] — a bag of words with frequencies,
 //! * [`SocialElement`] — the stream item,
 //! * [`TopicVector`] / [`QueryVector`] — distributions over topics,
@@ -25,6 +25,7 @@
 
 pub mod element;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod rng;
 pub mod topic_model;
@@ -33,6 +34,7 @@ pub mod vocab;
 
 pub use element::{Document, SocialElement, SocialElementBuilder};
 pub use error::{KsirError, Result};
+pub use hash::{IdHasher, IdMap, IdSet, IdState};
 pub use ids::{ElementId, Timestamp, TopicId, WordId};
 pub use topic_model::{DenseTopicWordTable, TopicWordDistribution};
 pub use vector::{QueryVector, TopicVector};
